@@ -13,7 +13,9 @@ per-window slice reductions it replaces:
 * **end-to-end** — a time-budgeted (interactive) exploration over a fine
   200x200 query grid, asserting a >= 3x wall-clock speedup with
   byte-identical :class:`~repro.core.search.SearchRun` output, plus
-  kernel-vs-naive run identity on every synthetic spread config.
+  kernel-vs-naive run identity on every synthetic spread config.  Both
+  modes explore one window per step; the speedup comes from the SAT
+  kernels and batch seeding alone.
 
 Results are emitted machine-readably via ``repro.bench.emit_json`` and
 folded into ``BENCH_hotpath.json`` at the repo root (one latest record

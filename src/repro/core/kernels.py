@@ -115,21 +115,6 @@ class SummedAreaTable:
         """Sum over a :class:`Window`'s cells."""
         return self.box_sum(window.lo, window.hi)
 
-    def box_sums(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`box_sum` over ``(P, d)`` bound arrays."""
-        lo = np.asarray(lo)
-        hi = np.asarray(hi)
-        out = np.zeros(len(lo), dtype=np.float64)
-        for sign, mask in self._corners:
-            idx = tuple(
-                (hi if mask >> d & 1 else lo)[:, d] for d in range(self.ndim)
-            )
-            if sign > 0:
-                out += self.table[idx]
-            else:
-                out -= self.table[idx]
-        return out
-
     def placement_sums(self, lengths: Sequence[int]) -> np.ndarray:
         """Box sums for *every* placement of a fixed window shape.
 
@@ -381,72 +366,3 @@ class DataKernels:
             fully = fully[anchor_slab[0] : anchor_slab[1]]
         unread = ~fully.reshape(-1)
         return noise.perturb_many(windows, values, unread)
-
-    # -- batch queries over arbitrary (mixed-shape) bound arrays -----------
-
-    def _boxes(self, lows: np.ndarray, his: np.ndarray):
-        for lo, hi in zip(lows.tolist(), his.tolist()):
-            yield tuple(slice(l, h) for l, h in zip(lo, hi))
-
-    def unread_bounds(self, lows: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """Batch :meth:`unread_objects` over ``(P, d)`` bound arrays.
-
-        Same rebuild policy as the scalar query: use the unread SAT when
-        it is fresh, otherwise per-row slice sums — both exact for the
-        integer-valued grid, so every row is bitwise-identical either way.
-        """
-        if self._stamp == self._data.version:
-            return self._unread_sat.box_sums(lows, his)  # type: ignore[union-attr]
-        arr = self._data.unread_count
-        return np.array([float(arr[box].sum()) for box in self._boxes(lows, his)])
-
-    def fully_read_bounds(self, lows: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """Batch :meth:`is_read` over ``(P, d)`` bound arrays."""
-        if self._stamp == self._data.version:
-            card = np.prod(his - lows, axis=1)
-            return self._read_sat.box_sums(lows, his) >= card  # type: ignore[union-attr]
-        mask = self._data.read_mask
-        return np.array(
-            [bool(mask[box].all()) for box in self._boxes(lows, his)], dtype=bool
-        )
-
-    def reduce_bounds(
-        self, objective: ContentObjective, lows: np.ndarray, his: np.ndarray
-    ) -> np.ndarray:
-        """Batch :meth:`reduce` over ``(P, d)`` bound arrays.
-
-        Unlike ``placement_reduce`` the rows may have *different* shapes
-        (a popped window's 2d neighbors, a frontier slice), so the
-        real-valued grids use per-row slice reductions — the literal
-        scalar computation, hence bitwise-identical — while count-like
-        quantities come out of the SAT in one shot.
-        """
-        data = self._data
-        agg = objective.aggregate.name
-        if agg == "count":
-            return self._count_sat.box_sums(lows, his)
-        key = objective.key
-        if agg == "sum":
-            arr = data.eff_sum[key]
-            return np.array([float(arr[box].sum()) for box in self._boxes(lows, his)])
-        if agg == "avg":
-            counts = self._count_sat.box_sums(lows, his)
-            arr = data.eff_sum[key]
-            sums = np.array(
-                [float(arr[box].sum()) for box in self._boxes(lows, his)]
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(counts > 0, sums / counts, math.nan)
-        if agg == "min":
-            arr = data.eff_min[key]
-            values = np.array(
-                [float(arr[box].min()) for box in self._boxes(lows, his)]
-            )
-            return np.where(np.isfinite(values), values, math.nan)
-        if agg == "max":
-            arr = data.eff_max[key]
-            values = np.array(
-                [float(arr[box].max()) for box in self._boxes(lows, his)]
-            )
-            return np.where(np.isfinite(values), values, math.nan)
-        raise ValueError(f"unsupported aggregate {agg!r}")  # pragma: no cover

@@ -17,12 +17,12 @@ memory.  With a large ``head_capacity`` it behaves as an exact max-queue
 
 * a **sorted block** — parallel numpy arrays (negated priorities,
   insertion seqs, packed window bounds, Data Manager versions) kept in
-  pop order.  Bulk inserts (:meth:`push_many_arrays`) land here through
-  one ``np.lexsort`` merge, so seeding 10^4-10^5 start windows never
-  builds a Python tuple or :class:`Window` per entry; windows are
-  materialized lazily, on pop.
-* a **pending heap** — a small binary heap of tuples absorbing
-  incremental :meth:`push` traffic between bulk merges.
+  pop order.  The search's batched seeding bulk-inserts its start
+  windows here (:meth:`push_many_arrays`) through one ``np.lexsort``
+  merge, so 10^4-10^5 seeds never build a Python tuple or
+  :class:`Window` per entry; windows are materialized lazily, on pop.
+* a **pending heap** — a binary heap of tuples absorbing the per-window
+  :meth:`push` traffic of every later search step.
 
 :meth:`pop` compares the block head against the pending top, so the
 observable pop order is exactly the old all-heap implementation's:
@@ -65,8 +65,8 @@ def _entry_order(entry: QueueEntry) -> tuple:
     """Content-deterministic descending order over queue entries.
 
     Used wherever entries are re-sequenced (promote, drain), so tie order
-    never depends on insertion history — the kernel batch path and the
-    naive scalar path must interleave identically on exact priority ties.
+    never depends on insertion history — the batch-seeded kernel path and
+    the naive scalar path must interleave identically on exact priority ties.
     """
     (utility, benefit), window, version = entry
     return (-utility, -benefit, window.lo, window.hi, version)
@@ -79,8 +79,8 @@ def _bucket_order(entry: _BucketEntry) -> tuple:
 
 
 # Below this many rows a bulk array push feeds the pending heap instead of
-# re-merging (lexsorting) the whole sorted block: per-step neighbor batches
-# are a handful of rows, and an O(n log n) merge per step would dwarf them.
+# re-merging (lexsorting) the whole sorted block: for a handful of rows an
+# O(n log n) merge of the block would dwarf the push itself.
 _BULK_MERGE_MIN = 32
 
 
@@ -352,32 +352,6 @@ class SpillableQueue:
             return (-top[0], -top[1])
         return (-float(self._blk_nu[i]), -float(self._blk_nb[i]))
 
-    def peek_bounds(self, k: int) -> list[tuple[Priority, tuple, tuple, int]]:
-        """Up to ``k`` head entries as ``(priority, lo, hi, version)``.
-
-        A non-destructive look at the in-memory head (buckets excluded)
-        in pop order — the search's speculative batch-validation peeks
-        through this without materializing a single :class:`Window`.
-        """
-        out: list[tuple] = []
-        end = min(self._blk_seq.size, self._blk_pos + k)
-        for i in range(self._blk_pos, end):
-            out.append(
-                (
-                    (self._blk_nu[i], self._blk_nb[i], self._blk_seq[i]),
-                    tuple(self._blk_lo[i].tolist()),
-                    tuple(self._blk_hi[i].tolist()),
-                    int(self._blk_ver[i]),
-                )
-            )
-        for t in heapq.nsmallest(min(k, len(self._pending)), self._pending):
-            out.append(((t[0], t[1], t[2]), tuple(t[3]), tuple(t[4]), t[5]))
-        out.sort(key=lambda e: e[0])
-        return [
-            ((-float(key[0]), -float(key[1])), lo, hi, ver)
-            for key, lo, hi, ver in out[:k]
-        ]
-
     def has_stale(self, version: int) -> bool:
         """Whether any entry carries a Data Manager version below ``version``."""
         live_ver = self._blk_ver[self._blk_pos :]
@@ -422,55 +396,6 @@ class SpillableQueue:
         self._threshold = _MIN_PRIORITY
         entries.sort(key=_entry_order)
         yield from entries
-
-    def drain_arrays(self):
-        """Array form of :meth:`drain`: content-ordered parallel arrays.
-
-        Returns ``(utilities, benefits, lows, his, versions)`` sorted by
-        the same content order :meth:`drain` uses, emptying the queue —
-        without materializing a single :class:`Window`.  The batched
-        refresh path re-scores stale rows on these arrays directly and
-        feeds them back through :meth:`push_many_arrays`.
-        """
-        parts = []
-        if self._blk_seq.size - self._blk_pos > 0:
-            parts.append(self._live_block())
-        if self._pending:
-            parts.append(self._pending_arrays())
-        for bucket in self._buckets:
-            if not bucket:
-                continue
-            nu = np.array([-p[0] for p, _, _, _ in bucket], dtype=np.float64)
-            nb = np.array([-p[1] for p, _, _, _ in bucket], dtype=np.float64)
-            seq = np.zeros(len(bucket), dtype=np.int64)  # unused in content order
-            lo = np.array([e[1] for e in bucket], dtype=np.int64)
-            hi = np.array([e[2] for e in bucket], dtype=np.int64)
-            ver = np.array([e[3] for e in bucket], dtype=np.int64)
-            parts.append((nu, nb, seq, lo, hi, ver))
-            bucket.clear()
-        self._clear_block()
-        self._pending = []
-        self._spilled = 0
-        self._threshold = _MIN_PRIORITY
-        if not parts:
-            empty_f = np.empty(0, dtype=np.float64)
-            empty_b = np.empty((0, 0), dtype=np.int64)
-            return empty_f, empty_f.copy(), empty_b, empty_b.copy(), np.empty(0, np.int64)
-        nu = np.concatenate([p[0] for p in parts])
-        nb = np.concatenate([p[1] for p in parts])
-        lo = np.concatenate([p[3] for p in parts])
-        hi = np.concatenate([p[4] for p in parts])
-        ver = np.concatenate([p[5] for p in parts])
-        # Content order: (-u, -b, lo_0..lo_d, hi_0..hi_d, version); lexsort
-        # keys run last-is-primary.
-        keys = [ver]
-        for d in range(hi.shape[1] - 1, -1, -1):
-            keys.append(hi[:, d])
-        for d in range(lo.shape[1] - 1, -1, -1):
-            keys.append(lo[:, d])
-        keys.extend([nb, nu])
-        order = np.lexsort(tuple(keys))
-        return -nu[order], -nb[order], lo[order], hi[order], ver[order]
 
     # -- checkpoint support ------------------------------------------------
 

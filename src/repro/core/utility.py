@@ -188,63 +188,6 @@ class UtilityModel:
                     break
         return benefits, cost_terms
 
-    def bounds_profile(
-        self, lows: np.ndarray, his: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(benefits, cost_terms)`` for arbitrary packed window bounds.
-
-        The mixed-shape sibling of :meth:`placement_profile`, serving
-        the batched neighbor expansion and the batched frontier refresh:
-        rows of ``(P, d)`` ``lows`` / ``his`` arrays may have different
-        shapes, so shape benefits are vectorized per row and content
-        estimates go through ``DataKernels.reduce_bounds``.  Only valid
-        without a noise model (perturbation is keyed per window object);
-        the search guards this.  Every entry is bitwise identical to the
-        scalar pair.
-        """
-        if self.data.noise is not None:
-            raise ValueError("bounds_profile does not support noise models")
-        kern = self.data.kernels
-        unread = kern.unread_bounds(lows, his)
-        costs = unread * self._m / self._n
-        cost_terms = 1.0 - np.minimum(costs / self._k, 1.0)
-
-        benefits = np.ones(len(lows), dtype=np.float64)
-        lengths = his - lows
-        for cond in self._shape:
-            if cond.objective.kind is ShapeKind.LENGTH:
-                values = lengths[:, cond.objective.dim].astype(np.float64)
-                eps = float(self.data.grid.shape[cond.objective.dim])  # type: ignore[index]
-            else:
-                values = np.prod(lengths, axis=1).astype(np.float64)
-                eps = float(self._m)
-            satisfied = _op_mask(cond.op, values, cond.value)
-            if satisfied.all():
-                continue  # per-row benefit is 1.0 — min() is a no-op
-            vals = np.where(
-                satisfied,
-                1.0,
-                np.maximum(0.0, 1.0 - np.abs(values - cond.value) / eps),
-            )
-            np.minimum(benefits, vals, out=benefits)
-            if not benefits.any():
-                break
-        if benefits.any():
-            estimates_memo: dict = {}
-            for entry in self._content:
-                objective = entry.condition.objective
-                memo_key = (objective.aggregate.name, objective.key)
-                estimates = estimates_memo.get(memo_key)
-                if estimates is None:
-                    estimates = kern.reduce_bounds(objective, lows, his)
-                    estimates_memo[memo_key] = estimates
-                np.minimum(
-                    benefits, self._content_benefits(entry, estimates), out=benefits
-                )
-                if not benefits.any():
-                    break
-        return benefits, cost_terms
-
     def _content_benefits(self, entry: _ContentEntry, estimates: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`_content_benefit` over an estimate array."""
         cond = entry.condition

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .geometry import Rect
 from .grid import Grid
 
@@ -196,8 +194,7 @@ class Window:
         same cells, so the key is the window's *canonical identity* —
         the search's dedup set and the serving layer's cross-session
         result deduplication both key on it.  Python integers are
-        unbounded, so the packing never overflows; for vectorised
-        batches see ``HeuristicSearch._window_keys``.
+        unbounded, so the packing never overflows.
         """
         if len(shape) != self.ndim:
             raise ValueError(
@@ -237,48 +234,6 @@ class Window:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         spans = ",".join(f"{l}:{u}" for l, u in zip(self.lo, self.hi))
         return f"W[{spans}]"
-
-
-def batch_neighbor_bounds(window: Window, shape: Sequence[int]):
-    """All ``2 * ndim`` one-step neighbor candidates as packed arrays.
-
-    Returns ``(lows, his, dims, in_grid)``: ``(2d,)``-row bound arrays,
-    the dimension each row extends, and a mask of rows that stay inside
-    ``shape``.  Row order is the canonical order of :meth:`Window.neighbors`
-    — dim 0 LEFT, dim 0 RIGHT, dim 1 LEFT, ... — so the rows selected by
-    ``in_grid`` are exactly the windows the scalar iterator yields, in the
-    same order.  This is the geometry half of the batched neighbor
-    expansion; the search layers pruning masks on top.
-    """
-    lo = np.asarray(window.lo, dtype=np.int64)
-    hi = np.asarray(window.hi, dtype=np.int64)
-    d = lo.size
-    dims, left, left_rows, left_dims, right_rows, right_dims = _neighbor_template(d)
-    lows = np.broadcast_to(lo, (2 * d, d)).copy()
-    his = np.broadcast_to(hi, (2 * d, d)).copy()
-    lows[left_rows, left_dims] -= 1
-    his[right_rows, right_dims] += 1
-    shape_arr = np.asarray(shape, dtype=np.int64)
-    in_grid = np.where(left, lo[dims] > 0, hi[dims] < shape_arr[dims])
-    return lows, his, dims, in_grid
-
-
-_NEIGHBOR_TEMPLATES: dict[int, tuple] = {}
-
-
-def _neighbor_template(d: int) -> tuple:
-    """Cached index arrays for the ``2 * d`` canonical neighbor rows."""
-    tpl = _NEIGHBOR_TEMPLATES.get(d)
-    if tpl is None:
-        rows = np.arange(2 * d)
-        dims = rows // 2
-        left = (rows % 2) == 0
-        tpl = (dims, left, rows[left], dims[left], rows[~left], dims[~left])
-        _NEIGHBOR_TEMPLATES[d] = tpl
-    return tpl
-
-
-__all__.append("batch_neighbor_bounds")
 
 
 def enumerate_windows(grid: Grid, max_lengths: Sequence[int] | None = None) -> Iterator[Window]:

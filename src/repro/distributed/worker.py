@@ -111,7 +111,7 @@ class Worker:
         self.prefetch_state = PrefetchState(
             alpha=self.config.alpha, strategy=self.config.prefetch
         )
-        self.queue = SpillableQueue(self.config.head_capacity)
+        self.queue = SpillableQueue(self.config.effective_head_capacity)
         self.stats = SearchStats()
         self.results: list[ResultWindow] = []
         self._on_result = on_result

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Grid, Rect, SearchConfig, SWEngine
+from repro.core.pqueue import SpillableQueue
 from repro.costs import CostModel
 from repro.distributed import (
     CellRequest,
@@ -14,6 +15,7 @@ from repro.distributed import (
     plan_partitions,
     run_distributed,
 )
+from repro.distributed import worker as worker_mod
 from repro.workloads import make_database
 
 
@@ -183,6 +185,33 @@ class TestDistributedRuns:
         # Every worker did some exploration and some I/O.
         assert all(e > 0 for e in report.worker_explored)
         assert all(b > 0 for b in report.worker_blocks_read)
+
+    def test_memory_budget_spills_worker_queues(
+        self, tiny_dataset, tiny_query, monkeypatch
+    ):
+        queues: list[SpillableQueue] = []
+
+        class RecordingQueue(SpillableQueue):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                queues.append(self)
+
+        def run(budget):
+            config = DistributedConfig(
+                num_workers=2,
+                search=SearchConfig(memory_budget_entries=budget),
+                sample_fraction=0.3,
+            )
+            return run_distributed(tiny_dataset, tiny_query, config)
+
+        unbudgeted = run(None)
+        monkeypatch.setattr(worker_mod, "SpillableQueue", RecordingQueue)
+        budgeted = run(16)
+        assert len(queues) == 2
+        assert any(q.spill_events > 0 for q in queues)
+        assert {r.window.key(tiny_query.grid.shape) for r in budgeted.results} == {
+            r.window.key(tiny_query.grid.shape) for r in unbudgeted.results
+        }
 
     def test_on_result_streaming(self, tiny_dataset, tiny_query):
         streamed = []

@@ -54,18 +54,6 @@ class TestSummedAreaTable:
             assert sat.window_sum(window) == float(values[box].sum())
 
     @pytest.mark.parametrize("shape", [(64,), (17, 23), (7, 9, 11)])
-    def test_box_sums_vectorized(self, shape):
-        rng = np.random.default_rng(5)
-        values = rng.integers(0, 1000, size=shape).astype(np.int64)
-        sat = SummedAreaTable(values)
-        windows = random_windows(rng, shape)
-        lo = np.array([w.lo for w in windows])
-        hi = np.array([w.hi for w in windows])
-        batch = sat.box_sums(lo, hi)
-        for i, window in enumerate(windows):
-            assert batch[i] == sat.window_sum(window)
-
-    @pytest.mark.parametrize("shape", [(64,), (17, 23), (7, 9, 11)])
     def test_placement_sums_match_every_slice(self, shape):
         rng = np.random.default_rng(7)
         values = rng.integers(0, 1000, size=shape).astype(np.int64)

@@ -333,8 +333,8 @@ class TestSearchBehaviour:
                 use_kernels=use_kernels,
             )
             stats.append((run.stats.capped_extensions, run.stats.pruned_extensions))
-        # The batched expansion counts caps and prunes exactly like the
-        # scalar oracle, and both actually fire on this query.
+        # The SAT-kernel search counts caps and prunes exactly like the
+        # naive-reduction oracle, and both actually fire on this query.
         assert stats[0] == stats[1]
         assert stats[0][0] > 0
         assert stats[0][1] > 0
@@ -356,16 +356,6 @@ class TestWindowKeys:
             assert 0 <= key < search._key_bound
             assert key not in seen, (window, seen.get(key))
             seen[key] = window
-
-    def test_batch_keys_match_scalar_keys(self, search):
-        shape = search.grid.shape
-        lengths = (2, 3)
-        counts = tuple(s - l + 1 for s, l in zip(shape, lengths))
-        lows = np.indices(counts).reshape(len(shape), -1).T
-        batch = search._window_keys(lows, lengths)
-        for pos, key in zip(map(tuple, lows.tolist()), batch):
-            window = Window(pos, tuple(p + l for p, l in zip(pos, lengths)))
-            assert key == search._window_key(window)
 
     def test_push_window_dedups(self, search):
         window = Window((0, 0), (2, 2))
